@@ -59,9 +59,7 @@ def main():
     cluster.start_metering(interval=0.001)
     procs = [cluster.sim.process(f.run(), name=f"frontend{i}")
              for i, f in enumerate(frontends)]
-    done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
+    cluster.sim.run_until_triggered(cluster.sim.all_of(procs))
     cluster.stop_metering()
 
     total_ops = sum(f.stats.total_ops for f in frontends)

@@ -163,8 +163,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
              for i, c in enumerate(clients)]
     done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
+    cluster.sim.run_until_triggered(done)
     if not done.ok:
         raise done.value
     end = cluster.sim.now

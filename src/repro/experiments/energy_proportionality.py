@@ -188,8 +188,7 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
     procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
              for i, c in enumerate(ycsb)]
     done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
+    cluster.sim.run_until_triggered(done)
     if not done.ok:
         raise done.value
     makespan, energy, cpu = close()

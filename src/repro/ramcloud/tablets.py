@@ -88,7 +88,10 @@ class Tablet:
 
     def shard_for_key(self, key: str, span: int) -> int:
         """Which subshard of this tablet owns ``key``."""
-        return (key_hash(key) // span) % self.shard_count
+        shard_count = len(self.shards)
+        if shard_count == 1:
+            return 0  # unsplit (the common case): no second hash level
+        return (key_hash(key) // span) % shard_count
 
     def owner_for_key(self, key: str, span: int) -> str:
         """Server id serving ``key``."""

@@ -19,7 +19,6 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
@@ -65,15 +64,13 @@ class Event:
     called; its callbacks then run at the current simulation instant.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled",
-                 "__weakref__")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "__weakref__")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._scheduled = False
         if sim._sanitizer is not None:
             sim._sanitizer.event_created(self)
 
@@ -107,11 +104,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined self.sim._schedule(self, PRIORITY_NORMAL, 0.0): an
-        # untriggered event is never scheduled, so the guard is moot and
-        # this runs once per event — the kernel's hottest line.
+        # Scheduling inlined: this runs once per event — the kernel's
+        # hottest line.
         sim = self.sim
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
@@ -126,7 +121,6 @@ class Event:
         self._ok = False
         self._value = exception
         sim = self.sim
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
@@ -160,7 +154,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Event.__init__ and sim._schedule inlined: a timeout is born
+        # Event.__init__ and scheduling inlined: a timeout is born
         # triggered and scheduled, and this constructor runs for roughly
         # half of all events in a YCSB run.
         self.sim = sim
@@ -168,7 +162,6 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now + delay, PRIORITY_NORMAL, seq, self))
@@ -207,20 +200,32 @@ class AllOf(Event):
     __slots__ = ("_events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = tuple(events)
-        self._pending = len(self._events)
-        if self._pending == 0:
-            self.succeed(_ConditionValue(self._events))
+        # Event.__init__ and add_callback inlined: a replication fan-out
+        # builds one of these per write.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        if sim._sanitizer is not None:
+            sim._sanitizer.event_created(self)
+        self._events = events = tuple(events)
+        self._pending = len(events)
+        if not events:
+            self.succeed(_ConditionValue(events))
             return
-        for ev in self._events:
-            ev.add_callback(self._on_child)
+        on_child = self._on_child
+        for ev in events:
+            callbacks = ev.callbacks
+            if callbacks is None:
+                on_child(ev)
+            else:
+                callbacks.append(on_child)
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
             return
         self._pending -= 1
         if self._pending == 0:
@@ -233,20 +238,32 @@ class AnyOf(Event):
     __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = tuple(events)
-        if not self._events:
+        # Event.__init__ and add_callback inlined: every RPC deadline and
+        # worker spin-wait builds one of these per op.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        if sim._sanitizer is not None:
+            sim._sanitizer.event_created(self)
+        self._events = events = tuple(events)
+        if not events:
             raise ValueError("AnyOf requires at least one event")
-        for ev in self._events:
-            ev.add_callback(self._on_child)
+        on_child = self._on_child
+        for ev in events:
+            callbacks = ev.callbacks
+            if callbacks is None:
+                on_child(ev)
+            else:
+                callbacks.append(on_child)
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
-        if ev.ok:
+        if ev._ok:
             self.succeed(_ConditionValue(self._events))
         else:
-            self.fail(ev.value)
+            self.fail(ev._value)
 
 
 class Process(Event):
@@ -257,25 +274,33 @@ class Process(Event):
     raises, the process fails with that exception — unless nothing is
     watching, in which case the exception propagates out of
     :meth:`Simulator.run` so bugs never pass silently.
+
+    ``_waiting_on`` is the one event whose callback may resume the
+    process; every other wake-up is stale and ignored.  It is None once
+    the process has finished.  ``_wake`` is the wake-up callback, bound
+    once per process (the merged :meth:`_resume`, or
+    :meth:`_resume_debug` under the sanitizers) and dropped when the
+    process finishes, so a finished process is freed by refcount.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_interrupts")
+    __slots__ = ("generator", "name", "_waiting_on", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
         if sim._sanitizer is not None:
             sim._sanitizer.register_process(self)
+            self._wake = self._resume_debug
+        else:
+            self._wake = self._resume
         # Kick off at the current instant (an already-succeeded bootstrap
-        # event carrying our _resume, built without the constructor and
+        # event carrying our wake-up, built without the constructor and
         # succeed() detours).
         bootstrap = Event(sim)
         bootstrap._ok = True
-        bootstrap._scheduled = True
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._wake)
+        self._waiting_on: Optional[Event] = bootstrap
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, bootstrap))
@@ -293,73 +318,71 @@ class Process(Event):
         """
         if not self.is_alive:
             return
-        self._interrupts.append(Interrupt(cause))
         wakeup = Event(self.sim)
-        wakeup.succeed()
-        wakeup.add_callback(self._deliver_interrupt)
+        wakeup.fail(Interrupt(cause))
+        wakeup.callbacks.append(self._deliver_interrupt)
 
-    def _deliver_interrupt(self, _ev: Event) -> None:
-        if not self.is_alive or not self._interrupts:
-            return
-        interrupt = self._interrupts.pop(0)
-        # Detach from whatever we were waiting on; the stale event may
-        # still fire later, _resume ignores it via the _waiting_on check.
-        self._waiting_on = None
-        self._step(interrupt, throw=True)
+    def _deliver_interrupt(self, wakeup: Event) -> None:
+        if self._ok is None:
+            # Detach from whatever we were waiting on; the stale event may
+            # still fire later, and the wake-up ignores it.
+            self._waiting_on = wakeup
+            self._wake(wakeup)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
-            return
-        if self._waiting_on is not None and event is not self._waiting_on:
-            return  # stale wakeup from an event we were detached from
-        self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            self._step(event.value, throw=True)
-
-    def _step(self, value: Any, throw: bool) -> None:
         # The single hottest function in the kernel: one call per process
-        # resumption.  The sanitizer hooks live in _step_debug so the
-        # production path pays one None check instead of four.
-        if self.sim._sanitizer is not None:
-            self._step_debug(value, throw)
+        # resumption, with the generator step in the same frame.  The
+        # sanitizer hooks live in _resume_debug/_step_debug, chosen once
+        # at construction.
+        if event is not self._waiting_on:
+            return  # finished, or a stale wake-up we were detached from
+        generator = self.generator
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._value)
+            except StopIteration as stop:
+                self._waiting_on = self._wake = None
+                self.succeed(stop.value)
+                return
+            except Interrupt:
+                # An unhandled interrupt terminates the process cleanly:
+                # this is the normal way a crashed server's threads die.
+                self._waiting_on = self._wake = None
+                self.succeed(None)
+                return
+            except BaseException as exc:
+                self._waiting_on = self._wake = None
+                if self.callbacks:
+                    self.fail(exc)
+                else:
+                    # Nobody is watching this process: surface the crash.
+                    self.sim._crash(exc)
+                return
+            if not isinstance(target, Event):
+                self._waiting_on = None
+                self.sim._crash(SimulationError(
+                    f"process {self.name!r} yielded {target!r}, "
+                    f"expected an Event"))
+                return
+            callbacks = target.callbacks
+            if callbacks is not None:
+                self._waiting_on = target
+                callbacks.append(self._wake)
+                return
+            # Already processed: late waiters resume on the spot.
+            event = target
+
+    def _resume_debug(self, event: Event) -> None:
+        """The sanitizer-instrumented twin of :meth:`_resume` (debug mode)."""
+        if event is not self._waiting_on:
             return
-        try:
-            if throw:
-                target = self.generator.throw(value)
-            else:
-                target = self.generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An unhandled interrupt terminates the process cleanly: this
-            # is the normal way a crashed server's threads die.
-            self.succeed(None)
-            return
-        except BaseException as exc:
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                # Nobody is watching this process: surface the crash.
-                self.sim._crash(exc)
-            return
-        if not isinstance(target, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an Event"
-            )
-            self.sim._crash(error)
-            return
-        self._waiting_on = target
-        # target.add_callback(self._resume), inlined:
-        if target.callbacks is None:
-            self._resume(target)
-        else:
-            target.callbacks.append(self._resume)
+        self._waiting_on = None
+        self._step_debug(event._value, throw=not event._ok)
 
     def _step_debug(self, value: Any, throw: bool) -> None:
-        """The sanitizer-instrumented twin of :meth:`_step` (debug mode)."""
         sanitizer = self.sim._sanitizer
         sanitizer.begin_step(self)
         try:
@@ -368,14 +391,17 @@ class Process(Event):
             else:
                 target = self.generator.send(value)
         except StopIteration as stop:
+            self._wake = None
             self.succeed(stop.value)
             sanitizer.process_died(self)
             return
         except Interrupt:
+            self._wake = None
             self.succeed(None)
             sanitizer.process_died(self)
             return
         except BaseException as exc:
+            self._wake = None
             if self.callbacks:
                 self.fail(exc)
             else:
@@ -391,11 +417,22 @@ class Process(Event):
             self.sim._crash(error)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        target.add_callback(self._wake)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"
         return f"<Process {self.name} {state}>"
+
+
+class _Never:
+    """The stop condition of :meth:`Simulator.run`: never triggers."""
+
+    __slots__ = ()
+    _ok = None
+
+
+_NEVER = _Never()
+_INF = float("inf")
 
 
 class Simulator:
@@ -410,7 +447,7 @@ class Simulator:
     """
 
     __slots__ = ("debug", "_sanitizer", "now", "_heap", "_seq", "_fatal",
-                 "tracer", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, debug: Optional[bool] = None):
         if debug is None:
@@ -425,21 +462,9 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._fatal: Optional[BaseException] = None
-        # Optional callback(now, event), invoked as each event fires —
-        # see repro.sim.trace.Tracer.
-        self.tracer: Optional[Callable[[float, Event], None]] = None
-
-    # -- scheduling ---------------------------------------------------
-
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def _crash(self, exc: BaseException) -> None:
-        """Record a fatal error; re-raised from :meth:`run`/:meth:`step`."""
+        """Record a fatal error; re-raised from the event loop."""
         if self._fatal is None:
             self._fatal = exc
 
@@ -469,7 +494,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process the single next event."""
@@ -479,9 +504,7 @@ class Simulator:
         if when < self.now:
             raise SimulationError("scheduler heap corrupted: time went backwards")
         self.now = when
-        if self.tracer is not None:
-            self.tracer(when, event)
-        # event._run_callbacks(), inlined (once per event processed):
+        # event._run_callbacks(), inlined:
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
@@ -491,6 +514,40 @@ class Simulator:
             exc, self._fatal = self._fatal, None
             raise exc
 
+    def _event_loop(self, until: float, target: Any) -> None:
+        """Process events in order until ``target`` triggers, the next
+        event lies beyond ``until``, or the schedule drains.
+
+        The one event loop behind :meth:`run`, :meth:`run_until_triggered`
+        and :meth:`run_process`; :meth:`step` is its single-event twin.
+        It stops right after the event whose callbacks triggered
+        ``target``, so later events at the same instant stay queued.
+        """
+        heap = self._heap
+        pop = heappop
+        now = self.now
+        while heap:
+            entry = pop(heap)
+            when = entry[0]
+            if when > until:
+                heappush(heap, entry)  # same key: the order is unchanged
+                return
+            if when < now:
+                raise SimulationError(
+                    "scheduler heap corrupted: time went backwards")
+            self.now = now = when
+            event = entry[3]
+            callbacks = event.callbacks
+            event.callbacks = None
+            if callbacks:
+                for cb in callbacks:
+                    cb(event)
+            if self._fatal is not None:
+                exc, self._fatal = self._fatal, None
+                raise exc
+            if target._ok is not None:
+                return
+
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or ``until`` (exclusive of later events).
 
@@ -499,32 +556,41 @@ class Simulator:
         calls see monotonically increasing time.
         """
         if until is None:
-            while self._heap:
-                self.step()
+            self._event_loop(_INF, _NEVER)
             if self._sanitizer is not None:
                 self._sanitizer.check_leaks()
             return
         if until < self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        while self._heap and self._heap[0][0] <= until:
-            self.step()
+        self._event_loop(until, _NEVER)
         self.now = until
+
+    def run_until_triggered(self, event: Event) -> None:
+        """Run until ``event`` triggers (ok or failed); the caller reads
+        its outcome.  Events after the one that triggered it, even at
+        the same instant, stay queued."""
+        if event._ok is None:
+            self._event_loop(_INF, event)
+            if event._ok is None:
+                raise SimulationError(self._stuck_message(
+                    f"{event!r} never triggered"))
 
     def run_process(self, process: Process, until: Optional[float] = None) -> Any:
         """Run until ``process`` finishes; return its value or raise its error."""
-        while process.is_alive:
-            if until is not None and self.peek() > until:
-                raise SimulationError(
-                    f"process {process.name!r} did not finish by t={until}"
-                )
-            if not self._heap:
-                message = (f"deadlock: process {process.name!r} alive "
-                           f"with empty schedule")
-                if self._sanitizer is not None:
-                    message += ("\nwait-for graph:\n"
-                                + self._sanitizer.wait_graph())
-                raise SimulationError(message)
-            self.step()
-        if not process.ok:
-            raise process.value
-        return process.value
+        if process._ok is None:
+            self._event_loop(_INF if until is None else until, process)
+            if process._ok is None:
+                if until is not None:
+                    raise SimulationError(
+                        f"process {process.name!r} did not finish by t={until}")
+                raise SimulationError(self._stuck_message(
+                    f"process {process.name!r} alive"))
+        if not process._ok:
+            raise process._value
+        return process._value
+
+    def _stuck_message(self, what: str) -> str:
+        message = f"deadlock: {what} with empty schedule"
+        if self._sanitizer is not None:
+            message += "\nwait-for graph:\n" + self._sanitizer.wait_graph()
+        return message

@@ -14,6 +14,8 @@ serially is byte-for-byte what ``pytest -m sweep`` compares across
 process boundaries.
 """
 
+import pytest
+
 from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
@@ -110,6 +112,36 @@ def test_crash_digest_diverges_across_seeds():
     a = crash_digest(run_small_crash(seed=7))
     b = crash_digest(run_small_crash(seed=8))
     assert a != b
+
+
+# -- golden event order ------------------------------------------------------
+#
+# The tests above compare two runs of the same code, so a kernel change
+# that reorders events would still pass them.  These pin the values
+# themselves: the digests and the kernel's event count of one small RF 1
+# workload-A cell and one crash cell.  A kernel or model change that
+# keeps them is bit-identical; one that moves them must say why and
+# update the constants.
+
+GOLDEN_RF1_A_DIGEST = (
+    "ee79cd935bdbb1fc750887316b631379dffa72375bce0c062b6231c5c2d9042e")
+GOLDEN_RF1_A_EVENTS = 5990
+GOLDEN_CRASH_DIGEST = (
+    "636fa8d0fd3c26e91980c6493e350de153a926c58e106c07c19533344bd7a302")
+
+
+@pytest.mark.parametrize("debug", ["0", "1"], ids=["fast", "debug"])
+def test_golden_event_order_rf1_workload_a(debug, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_DEBUG", debug)
+    result = run_small(WORKLOAD_A, rf=1)
+    assert result.sim_events == GOLDEN_RF1_A_EVENTS
+    assert digest(result) == GOLDEN_RF1_A_DIGEST
+
+
+@pytest.mark.parametrize("debug", ["0", "1"], ids=["fast", "debug"])
+def test_golden_event_order_crash(debug, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_DEBUG", debug)
+    assert crash_digest(run_small_crash()) == GOLDEN_CRASH_DIGEST
 
 
 # -- membership / fencing / repair scenarios (ISSUE 4) -----------------------

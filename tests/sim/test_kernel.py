@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -452,3 +455,222 @@ def test_nested_processes_compose():
     sim.run()
     assert trace == ["a", "b", 3.0]
     assert sim.now == 3.0
+
+
+# -- the fused event loop and the merged resume frame -------------------------
+#
+# The suite runs with the sanitizers on (tests/conftest.py), which takes
+# the debug wake-up path; every test below runs both kernels explicitly.
+
+both_kernels = pytest.mark.parametrize("debug", [False, True],
+                                       ids=["fast", "debug"])
+
+
+@both_kernels
+def test_run_until_triggered_stops_right_after_the_trigger(debug):
+    sim = Simulator(debug=debug)
+    fired = []
+    gate = sim.event()
+    first = sim.timeout(1.0)
+    first.add_callback(lambda _ev: fired.append("first"))
+    first.add_callback(lambda _ev: gate.succeed("open"))
+    later = sim.timeout(1.0)
+    later.add_callback(lambda _ev: fired.append("later"))
+    sim.timeout(2.0)
+    sim.run_until_triggered(gate)
+    assert gate.triggered and gate.value == "open"
+    assert sim.now == 1.0
+    # ``later`` is due at the same instant but was queued after the
+    # event that triggered the gate: it stays queued, as does the gate's
+    # own processing.
+    assert fired == ["first"]
+    assert not later.processed and not gate.processed
+    assert sim.peek() == 1.0
+    # An already-triggered target returns at once.
+    sim.run_until_triggered(first)
+    assert fired == ["first"]
+    sim.run()
+    assert fired == ["first", "later"] and sim.now == 2.0
+
+
+@both_kernels
+def test_run_until_triggered_on_drained_schedule_raises(debug):
+    sim = Simulator(debug=debug)
+    gate = sim.event()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="never triggered"):
+        sim.run_until_triggered(gate)
+    assert sim.now == 1.0
+
+
+@both_kernels
+def test_run_until_triggered_reraises_unwatched_crash(debug):
+    sim = Simulator(debug=debug)
+
+    def crasher():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    sim.process(crasher())
+    sim.timeout(5.0)
+    with pytest.raises(KeyError):
+        sim.run_until_triggered(sim.event())
+    assert sim.now == 1.0  # raised at the crash, not at the drain
+
+
+@both_kernels
+def test_run_until_sets_now_and_keeps_later_events(debug):
+    sim = Simulator(debug=debug)
+    fired = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        fired.append(sim.now)
+        yield sim.timeout(9.0)
+        fired.append(sim.now)
+
+    sim.process(proc())
+    sim.run(until=4.0)
+    assert fired == [1.0] and sim.now == 4.0
+    assert sim.peek() == 10.0
+    sim.run(until=10.0)  # an event exactly at ``until`` fires
+    assert fired == [1.0, 10.0] and sim.now == 10.0
+
+
+@both_kernels
+def test_run_process_until_reports_unfinished(debug):
+    sim = Simulator(debug=debug)
+
+    def slow():
+        yield sim.timeout(10.0)
+        return "late"
+
+    proc = sim.process(slow())
+    with pytest.raises(SimulationError, match="did not finish by t=5.0"):
+        sim.run_process(proc, until=5.0)
+    assert sim.now == 0.0 and sim.peek() == 10.0
+    assert sim.run_process(proc) == "late"
+
+
+@both_kernels
+def test_interrupt_through_merged_resume(debug):
+    sim = Simulator(debug=debug)
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(10.0)
+            log.append("timeout")
+        except Interrupt as intr:
+            log.append(("interrupt", sim.now, intr.cause))
+        # The stale 10 s timeout must not wake this wait.
+        yield sim.timeout(100.0)
+        log.append(("second", sim.now))
+        yield sim.timeout(1.0)  # killed here, unhandled
+
+    proc = sim.process(sleeper())
+
+    def killer():
+        yield sim.timeout(1.0)
+        proc.interrupt("first")
+        yield sim.timeout(100.5)
+        proc.interrupt("second")
+        proc.interrupt("ignored: dead by then")
+
+    sim.process(killer())
+    sim.run()
+    assert log == [("interrupt", 1.0, "first"), ("second", 101.0)]
+    assert proc.triggered and proc.value is None
+
+
+@both_kernels
+def test_interrupt_queued_before_first_step(debug):
+    sim = Simulator(debug=debug)
+    log = []
+
+    def proc_body():
+        try:
+            log.append("started")
+            yield sim.timeout(5.0)
+        except Interrupt as intr:
+            log.append(intr.cause)
+
+    proc = sim.process(proc_body())
+    proc.interrupt("early")
+    sim.run()
+    # The bootstrap was scheduled first, so the process starts, then
+    # takes the interrupt at the same instant.
+    assert log == ["started", "early"] and sim.now == 5.0
+
+
+@both_kernels
+def test_resume_chains_through_processed_events(debug):
+    sim = Simulator(debug=debug)
+    done = [sim.timeout(0.0, value=i) for i in range(3)]
+    got = []
+
+    def waiter():
+        yield sim.timeout(1.0)
+        for ev in done:  # all processed long ago
+            got.append((yield ev))
+        got.append(sim.now)
+
+    sim.process(waiter())
+    sim.run()
+    assert got == [0, 1, 2, 1.0]
+
+
+@both_kernels
+def test_any_of_over_processed_child_triggers(debug):
+    sim = Simulator(debug=debug)
+    early = sim.timeout(0.0, value="early")
+    sim.run()
+    got = []
+
+    def waiter():
+        result = yield sim.any_of([early, sim.timeout(5.0)])
+        got.append((sim.now, result[early]))
+
+    sim.process(waiter())
+    sim.run()
+    assert got == [(0.0, "early")]
+
+
+@both_kernels
+def test_all_of_over_processed_children_triggers(debug):
+    sim = Simulator(debug=debug)
+    events = [sim.timeout(0.0, value=i) for i in range(2)]
+    sim.run()
+    cond = sim.all_of(events)
+    sim.run_until_triggered(cond)
+    assert cond.value.values() == [0, 1]
+
+
+@both_kernels
+def test_finished_process_is_freed_by_refcount(debug):
+    sim = Simulator(debug=debug)
+
+    def short():
+        yield sim.timeout(1.0)
+        return "done"
+
+    def survivor():
+        try:
+            yield sim.timeout(50.0)  # left stale in the schedule
+        except Interrupt:
+            pass
+        yield sim.timeout(1.0)
+
+    gc.disable()
+    try:
+        proc = sim.process(short())
+        interrupted = sim.process(survivor())
+        assert sim.run_process(proc) == "done"
+        interrupted.interrupt()
+        sim.run_process(interrupted)
+        sim.run()  # fires the stale timeout
+        refs = [weakref.ref(proc), weakref.ref(interrupted)]
+        del proc, interrupted
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

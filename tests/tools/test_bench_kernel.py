@@ -103,3 +103,25 @@ def test_committed_trajectory_has_before_and_after():
     assert after["events_per_s"] >= 1.5 * before["events_per_s"]
     # Same simulation, byte-for-byte: pure-overhead removal only.
     assert after["events"] == before["events"]
+
+
+def test_check_fails_without_a_baseline(tmp_path, capsys):
+    path = str(tmp_path / "bench.json")
+    args = ["--bench", "fig4", "--scale", "smoke", "--servers", "2",
+            "--clients", "2", "--ops", "2", "--check", "--json", path]
+    assert bench_kernel.main(args) == 1
+    assert "no baseline" in capsys.readouterr().out
+    # --update records the row even though this check fails; with that
+    # baseline in place the same check passes.
+    assert bench_kernel.main(args + ["--update", "t0"]) == 1
+    assert bench_kernel.main(args + ["--tolerance", "0"]) == 0
+
+
+def test_committed_baselines_cover_the_gated_cells():
+    # The CI gate runs every default bench at smoke scale; each needs a
+    # committed baseline there, or --check fails.
+    baseline = bench_kernel.load_baseline()
+    for bench in ("fig4", "fig4_debug", "fig_index"):
+        for scale in ("smoke", "default"):
+            assert bench_kernel.latest_row(baseline, bench, scale), \
+                (bench, scale)

@@ -11,9 +11,9 @@ Three modes:
 
 * ``--update`` appends a labelled entry to ``BENCH_kernel.json``;
 * ``--check`` re-runs the benches and fails (exit 1) if events/sec fell
-  below ``tolerance × baseline`` for the same bench+scale (wall time is
-  machine-dependent, so the committed baseline is only a floor with a
-  generous default tolerance);
+  below ``tolerance × baseline`` for the same bench+scale, or if a bench
+  has no baseline at that scale (wall time is machine-dependent, so the
+  committed baseline is only a floor with a generous default tolerance);
 * ``--profile-json`` additionally runs the first bench under cProfile
   and dumps the per-function rows as JSON — the hot-set input for the
   profile-guided lint rules (``python -m repro.analyze --perf``).
@@ -32,6 +32,7 @@ import json
 import os
 import pstats
 import sys
+import sysconfig
 import time
 from typing import Dict, List, Optional
 
@@ -166,6 +167,20 @@ def run_sweep_bench(scale: str, servers: int, clients: int,
     }
 
 
+def _portable_path(path: str) -> str:
+    """A profile row's path without the checkout or interpreter
+    location: repo files relative to the repo root, standard-library
+    files under ``<stdlib>/``.  The hot set matches rows on their
+    ``repro/``-rooted suffix, so a committed profile stays valid in any
+    checkout."""
+    for root, label in ((REPO_ROOT, ""),
+                        (sysconfig.get_paths()["stdlib"], "<stdlib>/")):
+        if path.startswith(root + os.sep):
+            path = label + os.path.relpath(path, root)
+            break
+    return path.replace(os.sep, "/")
+
+
 def profile_bench(name: str, scale: str, servers: int, clients: int,
                   ops: Optional[int], out_path: str,
                   top: int = 120) -> None:
@@ -190,7 +205,7 @@ def profile_bench(name: str, scale: str, servers: int, clients: int,
         if path.startswith("<") or func.startswith("<module>"):
             continue
         rows.append({
-            "path": path.replace(os.sep, "/"),
+            "path": _portable_path(path),
             "func": func,
             "line": line,
             "ncalls": nc,
@@ -291,8 +306,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         for row in rows:
             base = latest_row(baseline, row["bench"], row["scale"])
             if base is None:
+                # A gate with nothing to compare against must not pass
+                # silently: record a baseline with --update first.
                 print(f"{row['bench']}: no baseline for scale "
-                      f"{row['scale']!r}, skipping check")
+                      f"{row['scale']!r} — FAILED")
+                status = 1
                 continue
             floor = args.tolerance * base["events_per_s"]
             verdict = "ok" if row["events_per_s"] >= floor else "REGRESSED"
