@@ -39,7 +39,6 @@ from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
     ExperimentSpec,
-    repeat_experiment,
     run_crash_experiment,
     run_experiment,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WORKLOAD_C",
     "WorkloadSpec",
     "YcsbClient",
-    "repeat_experiment",
     "run_crash_experiment",
     "run_experiment",
     "__version__",

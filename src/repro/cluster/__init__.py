@@ -11,7 +11,6 @@ from repro.cluster.experiment import (
     Aggregate,
     ExperimentResult,
     ExperimentSpec,
-    repeat_experiment,
     run_experiment,
 )
 from repro.cluster.crash import (
@@ -40,7 +39,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "durability_gap_digest",
-    "repeat_experiment",
     "run_crash_experiment",
     "run_durability_gap",
     "run_experiment",

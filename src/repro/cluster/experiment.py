@@ -9,7 +9,8 @@ Follows the paper's measurement discipline (§III):
   power per server node, total energy consumed, energy efficiency
   (operations per joule), per-node CPU utilization, per-client latency;
 * each reported value is an average over several seeded runs with error
-  bars (:func:`repeat_experiment`).
+  bars (:class:`Aggregate`, merged per grid point by
+  :mod:`repro.experiments.sweep`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.ycsb.stats import OperationStats
 from repro.ycsb.workload import WorkloadSpec
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "run_experiment",
-           "repeat_experiment", "Aggregate"]
+           "Aggregate"]
 
 
 @dataclass(frozen=True)
@@ -251,26 +252,3 @@ class Aggregate:
 
     def __format__(self, fmt: str) -> str:
         return f"{format(self.mean, fmt)}±{format(self.stddev, fmt)}"
-
-
-def repeat_experiment(spec: ExperimentSpec, seeds: Sequence[int]
-                      ) -> Tuple[Dict[str, Aggregate], List[ExperimentResult]]:
-    """Run one configuration once per seed (the paper averages 5 runs);
-    returns aggregates over the headline metrics plus the raw results."""
-    results = []
-    for seed in seeds:
-        run_spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-        results.append(run_experiment(run_spec))
-    metrics = {
-        "throughput": Aggregate.of([r.throughput for r in results]),
-        "avg_power_per_server": Aggregate.of(
-            [r.avg_power_per_server for r in results]),
-        "total_energy_joules": Aggregate.of(
-            [r.total_energy_joules for r in results]),
-        "energy_efficiency": Aggregate.of(
-            [r.energy_efficiency for r in results]),
-        "makespan": Aggregate.of([r.makespan for r in results]),
-        "mean_latency": Aggregate.of(
-            [r.mean_latency_or_zero() for r in results]),
-    }
-    return metrics, results

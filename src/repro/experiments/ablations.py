@@ -19,13 +19,14 @@ from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
     ExperimentSpec,
-    repeat_experiment,
     run_crash_experiment,
+    run_experiment,
 )
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.hardware.specs import MB
 from repro.ramcloud.config import ServerConfig
+from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_C
 
 __all__ = ["run_segment_size_ablation", "run_worker_threads_ablation",
@@ -81,13 +82,13 @@ def run_worker_threads_ablation(scale: Scale = DEFAULT,
                 cluster=ClusterSpec(
                     num_servers=servers, num_clients=clients,
                     server_config=ServerConfig(replication_factor=0,
-                                               worker_threads=workers)),
+                                               worker_threads=workers),
+                    seed=scale.seeds[0]),
                 workload=workload.scaled(num_records=scale.num_records,
                                          ops_per_client=scale.ops_per_client),
             )
-            metrics, _r = repeat_experiment(spec, scale.seeds[:1])
             table.add(f"workload {name} / {workers} workers", None,
-                      metrics["throughput"].mean / 1000.0, "K")
+                      run_experiment(spec).throughput / 1000.0, "K")
     table.note("the optimal thread count depends on the workload "
                "(Finding 2's discussion): reads want more threads, "
                "updates serialize anyway")
@@ -108,25 +109,25 @@ def run_async_replication_ablation(scale: Scale = DEFAULT,
     table = ComparisonTable(
         "§IX consistency", f"workload A with RF {rf}: synchronous vs "
         "asynchronous replication")
-    results = {}
-    for label, async_repl in (("synchronous (wait for acks)", False),
-                              ("asynchronous (no ack wait)", True)):
+    throughput = {}
+    for label, level in (("synchronous (wait for acks)", SYNC_RF),
+                         ("asynchronous (no ack wait)", ASYNC_BOUNDED)):
         spec = ExperimentSpec(
             cluster=ClusterSpec(
                 num_servers=servers, num_clients=clients,
                 server_config=ServerConfig(replication_factor=rf,
-                                           async_replication=async_repl)),
+                                           default_consistency=level),
+                seed=scale.seeds[0]),
             workload=WORKLOAD_A.scaled(num_records=scale.num_records,
                                        ops_per_client=scale.ops_per_client),
         )
-        metrics, _r = repeat_experiment(spec, scale.seeds[:1])
-        results[async_repl] = metrics
+        result = run_experiment(spec)
+        throughput[level] = result.throughput
         table.add(f"{label}: throughput", None,
-                  metrics["throughput"].mean / 1000.0, "K")
+                  result.throughput / 1000.0, "K")
         table.add(f"{label}: energy efficiency", None,
-                  metrics["energy_efficiency"].mean, " op/J")
-    speedup = (results[True]["throughput"].mean
-               / results[False]["throughput"].mean)
+                  result.energy_efficiency, " op/J")
+    speedup = throughput[ASYNC_BOUNDED] / throughput[SYNC_RF]
     table.add("throughput gain from relaxing consistency", None, speedup,
               "x")
     table.note("the paper predicts this gain but leaves it as future "

@@ -17,8 +17,8 @@ Two tables:
   time.
 
 The frontier grid is registered in ``SWEEP_CELLS``/``SWEEP_PLANS`` so
-``tools/sweep.py frontier`` fans it out across workers with the same
-serial-equivalence digests as every other sweep.
+``tools/sweep.py --experiment frontier`` fans it out across workers
+with the same determinism digests as every other sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.cluster import (
     ClusterSpec,
     DurabilityGapSpec,
     ExperimentSpec,
-    repeat_experiment,
     run_durability_gap,
 )
 from repro.experiments.reporting import ComparisonTable
@@ -38,6 +37,7 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
     SweepReport,
+    grid_aggregates,
     outcome_from_experiment,
 )
 from repro.hardware.specs import MB
@@ -97,23 +97,16 @@ def run_consistency_frontier(scale: Scale = DEFAULT,
                              clients: int = 10,
                              sweep: Optional[SweepReport] = None,
                              ) -> ComparisonTable:
-    """Latency/throughput/ops-per-joule at each consistency level.
-
-    Pass a merged ``sweep`` (from :func:`frontier_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+    """Latency/throughput/ops-per-joule at each consistency level."""
     table = ComparisonTable(
         "Ext. frontier",
         f"workload A per consistency level, {servers} servers / "
         f"{clients} clients / RF {rf}")
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(
+        frontier_sweep_plan(scale, levels=levels, rfs=(rf,), servers=servers,
+                            clients=clients), sweep)
     for level in levels:
-        if merged is not None:
-            metrics = merged[f"{level} / RF {rf}"]
-        else:
-            metrics, _results = repeat_experiment(
-                _frontier_spec(level, rf, servers, clients, scale),
-                scale.seeds)
+        metrics = merged[f"{level} / RF {rf}"]
         table.add(f"{level} throughput", None,
                   metrics["throughput"].mean / 1000.0, " Kop/s")
         table.add(f"{level} mean latency", None,

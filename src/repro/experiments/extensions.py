@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import (Aggregate, ClusterSpec, ExperimentSpec,
+                           run_experiment)
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.hardware.specs import (
@@ -59,15 +60,16 @@ def run_request_distribution_extension(scale: Scale = DEFAULT,
                 num_records=scale.num_records,
                 ops_per_client=scale.ops_per_client,
                 request_distribution=distribution)
-            spec = ExperimentSpec(
+            results = [run_experiment(ExperimentSpec(
                 cluster=ClusterSpec(
                     num_servers=servers, num_clients=clients,
-                    server_config=ServerConfig(replication_factor=0)),
+                    server_config=ServerConfig(replication_factor=0),
+                    seed=seed),
                 workload=workload,
-            )
-            metrics, results = repeat_experiment(spec, scale.seeds)
+            )) for seed in scale.seeds]
+            throughput = Aggregate.of([r.throughput for r in results])
             table.add(f"workload {name} / {distribution}", None,
-                      metrics["throughput"].mean / 1000.0, "K",
+                      throughput.mean / 1000.0, "K",
                       note=f"CPU spread "
                            f"{min(results[0].cpu_util_per_node.values()):.0f}–"
                            f"{max(results[0].cpu_util_per_node.values()):.0f}%")
@@ -94,14 +96,13 @@ def run_transport_extension(scale: Scale = DEFAULT,
             cluster=ClusterSpec(
                 num_servers=servers, num_clients=clients,
                 server_config=ServerConfig(replication_factor=0),
-                machine=machine),
+                machine=machine, seed=scale.seeds[0]),
             workload=WORKLOAD_C.scaled(num_records=scale.num_records,
                                        ops_per_client=scale.ops_per_client),
         )
-        metrics, results = repeat_experiment(spec, scale.seeds[:1])
-        table.add(nic.name, None, metrics["throughput"].mean / 1000.0, "K",
-                  note=f"mean latency "
-                       f"{results[0].mean_latency() * 1e6:.1f} µs")
+        result = run_experiment(spec)
+        table.add(nic.name, None, result.throughput / 1000.0, "K",
+                  note=f"mean latency {result.mean_latency() * 1e6:.1f} µs")
     table.note("one-way latency 2 µs vs 30 µs: Ethernet roughly doubles "
                "the closed-loop op time, halving per-client throughput")
     return table
@@ -128,17 +129,17 @@ def run_scan_extension(scale: Scale = DEFAULT,
         spec = ExperimentSpec(
             cluster=ClusterSpec(
                 num_servers=servers, num_clients=clients,
-                server_config=ServerConfig(replication_factor=0)),
+                server_config=ServerConfig(replication_factor=0),
+                seed=scale.seeds[0]),
             workload=workload,
         )
-        metrics, _results = repeat_experiment(spec, scale.seeds[:1])
+        throughput = run_experiment(spec).throughput
         # A scan of length L returns L records: expected records per op.
         records_per_op = (workload.scan_proportion * (max_len + 1) / 2
                           + workload.insert_proportion)
         table.add(f"max scan length {max_len}", None,
-                  metrics["throughput"].mean / 1000.0, "K ops/s",
-                  note=f"≈{metrics['throughput'].mean * records_per_op:,.0f}"
-                       " records/s")
+                  throughput / 1000.0, "K ops/s",
+                  note=f"≈{throughput * records_per_op:,.0f} records/s")
     table.note("longer scans amortize per-RPC costs: scans/s falls, "
                "records/s rises")
     return table

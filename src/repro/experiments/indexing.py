@@ -12,22 +12,24 @@ repro's own log-structured indexlets (ROADMAP item 2) the same way the
 * :func:`run_tenant_mix` — two tenants on one cluster, one throttled by
   per-tenant admission control, with the per-tenant SLA breakout.
 
-Both grids are also registered as sweep cells (``fig_index``,
-``tenant_mix``) so the parallel runner can fan them out with the same
-serial-equivalence guarantees as ``fig4``.
+Both grids are registered as sweep cells (``fig_index``,
+``tenant_mix``): the runners render from a sweep report, so the
+parallel runner can fan them out like every other grid.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import ClusterSpec, ExperimentSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     CellOutcome,
     SweepPlan,
     SweepPoint,
+    SweepReport,
+    grid_aggregates,
     outcome_from_experiment,
 )
 from repro.ramcloud.config import ServerConfig
@@ -75,16 +77,18 @@ def _tenant_spec(servers: int, clients: int, bronze_rate: float,
 
 def run_fig_index(scale: Scale = DEFAULT,
                   indexlet_counts: Sequence[int] = (1, 2, 4),
-                  servers: int = 4, clients: int = 4) -> ComparisonTable:
+                  servers: int = 4, clients: int = 4,
+                  sweep: Optional[SweepReport] = None) -> ComparisonTable:
     """Indexed workload mixes vs indexlet count (no paper column)."""
     table = ComparisonTable(
         "Fig. index", f"secondary-index mixes, {servers} servers "
                       f"(Kop/s; mean op latency noted)")
-    for name, workload in INDEXED_WORKLOADS.items():
+    merged = grid_aggregates(
+        fig_index_sweep_plan(scale, indexlet_counts=indexlet_counts,
+                             servers=servers, clients=clients), sweep)
+    for name in INDEXED_WORKLOADS:
         for indexlets in indexlet_counts:
-            metrics, _r = repeat_experiment(
-                _index_spec(workload, indexlets, servers, clients, scale),
-                scale.seeds)
+            metrics = merged[f"workload {name} / {indexlets} indexlet(s)"]
             table.add(
                 f"workload {name} / {indexlets} indexlet(s)", None,
                 metrics["throughput"].mean / 1000.0, "K",
@@ -99,24 +103,25 @@ def run_fig_index(scale: Scale = DEFAULT,
 def run_tenant_mix(scale: Scale = DEFAULT, servers: int = 4,
                    clients: int = 4,
                    bronze_rate: float = BRONZE_ADMISSION_RATE,
+                   sweep: Optional[SweepReport] = None,
                    ) -> ComparisonTable:
     """Two tenants on one cluster; bronze is admission-throttled."""
     table = ComparisonTable(
         "Tenant mix", f"workload A split across 2 tenants, {servers} "
                       f"servers (bronze admitted at {bronze_rate:.0f} "
                       f"ops/s per master)")
-    _metrics, results = repeat_experiment(
-        _tenant_spec(servers, clients, bronze_rate, scale), scale.seeds)
+    metrics = grid_aggregates(
+        tenant_mix_sweep_plan(scale, servers=servers, clients=clients,
+                              bronze_rate=bronze_rate),
+        sweep)["gold + bronze"]
     for tenant in ("gold", "bronze"):
-        per_seed = [r.per_tenant_stats[tenant] for r in results]
-        runs = len(per_seed)
         table.add(f"tenant {tenant} ops", None,
-                  sum(s["ops"] for s in per_seed) / runs, "")
+                  metrics[f"tenant[{tenant}].ops"].mean, "")
         table.add(f"tenant {tenant} p99 latency", None,
-                  sum(s["p99_latency"] for s in per_seed) / runs * 1e6,
+                  metrics[f"tenant[{tenant}].p99_latency"].mean * 1e6,
                   " µs")
         table.add(f"tenant {tenant} throttle drops", None,
-                  sum(s["throttle_drops"] for s in per_seed) / runs, "")
+                  metrics[f"tenant[{tenant}].throttle_drops"].mean, "")
     table.note("admission control drops non-admitted requests at the "
                "dispatch path; clients retry with backoff, so bronze "
                "trades p99 latency for the cap")

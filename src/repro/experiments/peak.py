@@ -11,20 +11,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import ClusterSpec, ExperimentSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
     SweepReport,
+    grid_aggregates,
     outcome_from_experiment,
 )
 from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["run_fig1_peak", "run_table1_cpu", "run_fig2_efficiency",
-           "fig1_sweep_plan"]
+           "fig1_sweep_plan", "table1_sweep_plan"]
 
 # Paper values.  Text-sourced numbers are exact; curve points without a
 # number in the text are digitized from the figures (marked ~ in notes).
@@ -51,6 +52,10 @@ PAPER_FIG2_OPS_PER_JOULE = {  # (servers, clients) → op/joule
 }
 
 
+TABLE1_GRID = ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+               (1, 10), (1, 30), (5, 5), (5, 30), (10, 5), (10, 30))
+
+
 def _peak_spec(servers: int, clients: int, scale: Scale,
                seed: int = 1) -> ExperimentSpec:
     return ExperimentSpec(
@@ -66,12 +71,24 @@ def _peak_spec(servers: int, clients: int, scale: Scale,
 def _fig1_cell(params: Dict[str, object], seed: int,
                scale: Scale):
     """Sweep cell runner: one (servers, clients, seed) point of the
-    §IV read-only grid — the exact run ``repeat_experiment`` performs."""
+    §IV read-only grid."""
     from repro.cluster import run_experiment
     result = run_experiment(_peak_spec(int(params["servers"]),
                                        int(params["clients"]),
                                        scale, seed=seed))
     return outcome_from_experiment(result)
+
+
+def _label(servers: int, clients: int) -> str:
+    return f"{servers} servers / {clients} clients"
+
+
+def _peak_plan(grid: Sequence[Tuple[int, int]], scale: Scale,
+               seeds: Optional[Sequence[int]]) -> SweepPlan:
+    points = tuple(SweepPoint.of(_label(servers, clients),
+                                 servers=servers, clients=clients)
+                   for servers, clients in grid)
+    return SweepPlan("fig1", points, tuple(seeds or scale.seeds), scale)
 
 
 def fig1_sweep_plan(scale: Scale = DEFAULT,
@@ -81,11 +98,18 @@ def fig1_sweep_plan(scale: Scale = DEFAULT,
                     ) -> SweepPlan:
     """The Fig. 1/Fig. 2 grid as a :class:`SweepPlan` (one sweep feeds
     both runners — they measure the same cells)."""
-    points = tuple(
-        SweepPoint.of(f"{servers} servers / {clients} clients",
-                      servers=servers, clients=clients)
-        for servers in server_counts for clients in client_counts)
-    return SweepPlan("fig1", points, tuple(seeds or scale.seeds), scale)
+    return _peak_plan([(servers, clients) for servers in server_counts
+                       for clients in client_counts], scale, seeds)
+
+
+def table1_sweep_plan(scale: Scale = DEFAULT,
+                      seeds: Optional[Sequence[int]] = None,
+                      grid: Sequence[Tuple[int, int]] = TABLE1_GRID,
+                      ) -> SweepPlan:
+    """The seeded points of the Table I grid (its idle rows are a
+    workload-free measurement, not sweep cells)."""
+    return _peak_plan([(servers, clients) for servers, clients in grid
+                       if clients], scale, seeds)
 
 
 SWEEP_CELLS = {"fig1": _fig1_cell}
@@ -97,26 +121,18 @@ def run_fig1_peak(scale: Scale = DEFAULT,
                   client_counts: Sequence[int] = (1, 10, 30),
                   sweep: Optional[SweepReport] = None,
                   ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 1a (throughput) and Fig. 1b (average power per server).
-
-    Pass a merged ``sweep`` (from :func:`fig1_sweep_plan` through
-    :func:`~repro.experiments.sweep.run_sweep`) to render from its
-    aggregates instead of re-running the cells serially — bit-identical
-    output, parallel wall-clock.
-    """
+    """Fig. 1a (throughput) and Fig. 1b (average power per server)."""
     throughput = ComparisonTable(
         "Fig. 1a", "read-only aggregated throughput (Kop/s)")
     power = ComparisonTable(
         "Fig. 1b", "average power per server (W)")
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(
+        fig1_sweep_plan(scale, server_counts=server_counts,
+                        client_counts=client_counts), sweep)
     for servers in server_counts:
         for clients in client_counts:
-            label = f"{servers} servers / {clients} clients"
-            if merged is not None:
-                metrics = merged[label]
-            else:
-                metrics, _results = repeat_experiment(
-                    _peak_spec(servers, clients, scale), scale.seeds)
+            label = _label(servers, clients)
+            metrics = merged[label]
             throughput.add(label,
                            PAPER_FIG1A_KOPS.get((servers, clients)),
                            metrics["throughput"].mean / 1000.0, "K")
@@ -131,13 +147,14 @@ def run_fig1_peak(scale: Scale = DEFAULT,
 
 
 def run_table1_cpu(scale: Scale = DEFAULT,
-                   grid: Sequence[Tuple[int, int]] = (
-                       (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-                       (1, 10), (1, 30), (5, 5), (5, 30), (10, 5), (10, 30)),
+                   grid: Sequence[Tuple[int, int]] = TABLE1_GRID,
+                   sweep: Optional[SweepReport] = None,
                    ) -> ComparisonTable:
     """Table I: average CPU usage per node for the read-only grid."""
     table = ComparisonTable(
         "Table I", "average per-node CPU usage, read-only workload (%)")
+    plan = table1_sweep_plan(scale, grid=grid)
+    merged = grid_aggregates(plan, sweep) if plan.points else {}
     for servers, clients in grid:
         if clients == 0:
             # Idle measurement: no workload, just the running servers.
@@ -151,10 +168,8 @@ def run_table1_cpu(scale: Scale = DEFAULT,
                 n.cpu.utilization_between(0.0, 5.0)
                 for n in cluster.server_nodes) / servers
         else:
-            metrics, results = repeat_experiment(
-                _peak_spec(servers, clients, scale), scale.seeds)
-            measured = sum(r.cpu_util_avg for r in results) / len(results)
-        table.add(f"{servers} servers / {clients} clients",
+            measured = merged[_label(servers, clients)]["cpu_util_avg"].mean
+        table.add(_label(servers, clients),
                   PAPER_TABLE1_CPU.get((servers, clients)), measured, "%")
     table.note("the idle row is the pinned dispatch core: 1 of 4 cores "
                "busy-polling = 25 %")
@@ -168,21 +183,18 @@ def run_fig2_efficiency(scale: Scale = DEFAULT,
                         ) -> ComparisonTable:
     """Fig. 2: energy efficiency (operations per joule).
 
-    The same grid as Fig. 1, so the same merged ``sweep`` serves both.
+    The same grid as Fig. 1, so the same ``sweep`` serves both.
     """
     table = ComparisonTable("Fig. 2", "energy efficiency (op/joule)")
     measured_cache: Dict[Tuple[int, int], float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(
+        fig1_sweep_plan(scale, server_counts=server_counts,
+                        client_counts=client_counts), sweep)
     for servers in server_counts:
         for clients in client_counts:
-            if merged is not None:
-                metrics = merged[f"{servers} servers / {clients} clients"]
-            else:
-                metrics, _results = repeat_experiment(
-                    _peak_spec(servers, clients, scale), scale.seeds)
-            eff = metrics["energy_efficiency"].mean
+            eff = merged[_label(servers, clients)]["energy_efficiency"].mean
             measured_cache[(servers, clients)] = eff
-            table.add(f"{servers} servers / {clients} clients",
+            table.add(_label(servers, clients),
                       PAPER_FIG2_OPS_PER_JOULE.get((servers, clients)),
                       eff, " op/J")
     # The paper's headline: 1 server at 30 clients is ≈7.6× more

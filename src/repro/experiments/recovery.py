@@ -22,6 +22,7 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
     SweepReport,
+    grid_aggregates,
     outcome_from_crash,
 )
 from repro.ramcloud.config import ServerConfig
@@ -164,10 +165,9 @@ def fig11_sweep_plan(scale: Scale = DEFAULT,
                      servers: int = 9) -> SweepPlan:
     """The Fig. 11 grid as a :class:`SweepPlan`.
 
-    Defaults to the serial runner's pinned seed 3, so a merged sweep
-    renders the exact table :func:`run_fig11_recovery_rf` produces
-    today; pass ``seeds`` to average recovery times over reruns the
-    way the paper did.
+    Defaults to the pinned seed 3 that :func:`run_fig11_recovery_rf`
+    renders from; pass ``seeds`` to average recovery times over reruns
+    the way the paper did.
     """
     points = tuple(SweepPoint.of(f"RF {rf}", servers=servers, rf=rf)
                    for rf in rfs)
@@ -184,48 +184,29 @@ def run_fig11_recovery_rf(scale: Scale = DEFAULT,
                           sweep: Optional[SweepReport] = None,
                           ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 11a (recovery time vs RF) and Fig. 11b (per-node energy
-    during recovery vs RF); 9 servers, ≈1.085 GB to recover.
-
-    Pass a merged ``sweep`` (from :func:`fig11_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+    during recovery vs RF); 9 servers, ≈1.085 GB to recover."""
     time_table = ComparisonTable(
         "Fig. 11a", f"recovery time vs replication factor ({servers} "
         "servers, ~1.085 GB/server)")
     energy_table = ComparisonTable(
         "Fig. 11b", "per-node energy during recovery vs RF")
     durations: Dict[int, float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(fig11_sweep_plan(scale, rfs=rfs,
+                                              servers=servers), sweep)
     for rf in rfs:
-        if merged is not None:
-            metrics = merged.get(f"RF {rf}")
-            # ``recovery_time`` is aggregated only when every seed's
-            # recovery finished (metric-key intersection).
-            if metrics is None or "recovery_time" not in metrics:
-                time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                               None, " s", note="recovery did not finish")
-                continue
-            durations[rf] = metrics["recovery_time"].mean
+        metrics = merged[f"RF {rf}"]
+        # ``recovery_time`` is aggregated only when every seed's
+        # recovery finished (metric-key intersection).
+        if "recovery_time" not in metrics:
             time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                           durations[rf], " s")
-            energy_table.add(
-                f"RF {rf}", PAPER_FIG11B_KILOJOULES.get(rf),
-                metrics["energy_per_node_joules"].mean / 1000.0, " kJ")
+                           None, " s", note="recovery did not finish")
             continue
-        spec = _crash_spec(scale, servers=servers, rf=rf,
-                           bytes_per_server=scale.recovery_bytes_per_server,
-                           kill_at=10.0)
-        result = run_crash_experiment(spec)
-        if result.recovery is None or result.recovery.finished_at is None:
-            time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf), None,
-                           " s", note="recovery did not finish")
-            continue
-        durations[rf] = result.recovery_time
+        durations[rf] = metrics["recovery_time"].mean
         time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                       result.recovery_time, " s")
+                       durations[rf], " s")
         energy_table.add(
             f"RF {rf}", PAPER_FIG11B_KILOJOULES.get(rf),
-            result.energy_per_node_during_recovery() / 1000.0, " kJ")
+            metrics["energy_per_node_joules"].mean / 1000.0, " kJ")
     if len(durations) >= 2:
         lo, hi = min(durations), max(durations)
         time_table.add(f"growth RF{lo}→RF{hi}",

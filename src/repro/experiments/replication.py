@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import ClusterSpec, ExperimentSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
     SweepReport,
+    grid_aggregates,
     outcome_from_experiment,
 )
 from repro.ramcloud.config import ServerConfig
@@ -26,7 +27,7 @@ from repro.ycsb.workload import WORKLOAD_A
 
 __all__ = ["run_fig5_replication", "run_fig6_replication_scale",
            "run_fig7_power_rf", "run_fig8_efficiency_rf",
-           "fig5_sweep_plan"]
+           "fig5_sweep_plan", "fig6_sweep_plan"]
 
 # Fig. 5 (20 servers): exact where stated in the text, digitized (~)
 # elsewhere.  Kop/s.
@@ -72,16 +73,9 @@ def _spec(servers: int, clients: int, rf: int, scale: Scale,
     )
 
 
-def _measure(servers: int, clients: int, rf: int, scale: Scale):
-    metrics, results = repeat_experiment(
-        _spec(servers, clients, rf, scale), scale.seeds)
-    crashed = any(r.crashed for r in results)
-    return metrics, crashed
-
-
 def _fig5_cell(params: Dict[str, object], seed: int, scale: Scale):
     """Sweep cell runner: one (servers, clients, rf, seed) point of the
-    §VI replication grid — the exact run ``repeat_experiment`` performs."""
+    §VI replication grids (Fig. 5, and Fig. 6–8 at 60 clients)."""
     from repro.cluster import run_experiment
     spec = _spec(int(params["servers"]), int(params["clients"]),
                  int(params["rf"]), scale)
@@ -102,6 +96,24 @@ def fig5_sweep_plan(scale: Scale = DEFAULT,
     return SweepPlan("fig5", points, tuple(seeds or scale.seeds), scale)
 
 
+def _fig6_label(servers: int, rf: int) -> str:
+    return f"{servers} servers / RF {rf}"
+
+
+def fig6_sweep_plan(scale: Scale = DEFAULT,
+                    seeds: Optional[Sequence[int]] = None,
+                    server_counts: Sequence[int] = (10, 20, 30, 40),
+                    rfs: Sequence[int] = (1, 2, 3, 4),
+                    clients: int = 60) -> SweepPlan:
+    """The Fig. 6 grid (servers × RF at 60 clients) as a
+    :class:`SweepPlan`; Fig. 7 and Fig. 8 render from its cells too."""
+    points = tuple(
+        SweepPoint.of(_fig6_label(servers, rf),
+                      servers=servers, clients=clients, rf=rf)
+        for servers in server_counts for rf in rfs)
+    return SweepPlan("fig5", points, tuple(seeds or scale.seeds), scale)
+
+
 SWEEP_CELLS = {"fig5": _fig5_cell}
 SWEEP_PLANS = {"fig5": fig5_sweep_plan}
 
@@ -112,21 +124,16 @@ def run_fig5_replication(scale: Scale = DEFAULT,
                          servers: int = 20,
                          sweep: Optional[SweepReport] = None,
                          ) -> ComparisonTable:
-    """Fig. 5: throughput of 20 servers vs replication factor.
-
-    Pass a merged ``sweep`` (from :func:`fig5_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+    """Fig. 5: throughput of 20 servers vs replication factor."""
     table = ComparisonTable(
         "Fig. 5", f"workload A throughput vs RF, {servers} servers (Kop/s)")
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(
+        fig5_sweep_plan(scale, client_counts=client_counts, rfs=rfs,
+                        servers=servers), sweep)
     for clients in client_counts:
         for rf in rfs:
-            if merged is not None:
-                metrics = merged[f"{clients} clients / RF {rf}"]
-                crashed = any(v > 0 for v in metrics["crashed"].values)
-            else:
-                metrics, crashed = _measure(servers, clients, rf, scale)
+            metrics = merged[f"{clients} clients / RF {rf}"]
+            crashed = any(v > 0 for v in metrics["crashed"].values)
             table.add(f"{clients} clients / RF {rf}",
                       PAPER_FIG5_KOPS.get((clients, rf)),
                       metrics["throughput"].mean / 1000.0, "K",
@@ -138,6 +145,7 @@ def run_fig6_replication_scale(scale: Scale = DEFAULT,
                                server_counts: Sequence[int] = (10, 20, 30, 40),
                                rfs: Sequence[int] = (1, 2, 3, 4),
                                clients: int = 60,
+                               sweep: Optional[SweepReport] = None,
                                ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 6a (throughput) and Fig. 6b (total energy), 60 clients."""
     throughput = ComparisonTable(
@@ -145,16 +153,19 @@ def run_fig6_replication_scale(scale: Scale = DEFAULT,
     energy = ComparisonTable(
         "Fig. 6b", "total energy vs RF (ratios; absolute kJ is run-scaled)")
     energy_measured: Dict[Tuple[int, int], float] = {}
+    merged = grid_aggregates(
+        fig6_sweep_plan(scale, server_counts=server_counts, rfs=rfs,
+                        clients=clients), sweep)
     for servers in server_counts:
         for rf in rfs:
-            metrics, crashed = _measure(servers, clients, rf, scale)
+            metrics = merged[_fig6_label(servers, rf)]
             paper = PAPER_FIG6A_KOPS.get((servers, rf))
             note = ""
             if paper is None:
                 note = "paper run crashed (excessive timeouts)"
-            if crashed:
+            if any(v > 0 for v in metrics["crashed"].values):
                 note = (note + "; " if note else "") + "our run crashed too"
-            throughput.add(f"{servers} servers / RF {rf}", paper,
+            throughput.add(_fig6_label(servers, rf), paper,
                            metrics["throughput"].mean / 1000.0, "K",
                            note=note)
             energy_measured[(servers, rf)] = (
@@ -179,13 +190,17 @@ def run_fig6_replication_scale(scale: Scale = DEFAULT,
 def run_fig7_power_rf(scale: Scale = DEFAULT,
                       rfs: Sequence[int] = (1, 2, 3, 4),
                       servers: int = 40, clients: int = 60,
+                      sweep: Optional[SweepReport] = None,
                       ) -> ComparisonTable:
     """Fig. 7: average power per node of 40 servers vs RF."""
     table = ComparisonTable(
         "Fig. 7", f"average power per node, {servers} servers / "
         f"{clients} clients (W)")
+    merged = grid_aggregates(
+        fig6_sweep_plan(scale, server_counts=(servers,), rfs=rfs,
+                        clients=clients), sweep)
     for rf in rfs:
-        metrics, _crashed = _measure(servers, clients, rf, scale)
+        metrics = merged[_fig6_label(servers, rf)]
         table.add(f"RF {rf}", PAPER_FIG7_WATTS.get(rf),
                   metrics["avg_power_per_server"].mean, "W")
     return table
@@ -194,18 +209,22 @@ def run_fig7_power_rf(scale: Scale = DEFAULT,
 def run_fig8_efficiency_rf(scale: Scale = DEFAULT,
                            server_counts: Sequence[int] = (20, 30, 40),
                            rfs: Sequence[int] = (1, 2, 3, 4),
-                           clients: int = 60) -> ComparisonTable:
+                           clients: int = 60,
+                           sweep: Optional[SweepReport] = None,
+                           ) -> ComparisonTable:
     """Fig. 8: energy efficiency vs RF — more servers are MORE efficient
     with replication on (Finding 4, the reverse of Finding 1)."""
     table = ComparisonTable(
         "Fig. 8", f"energy efficiency vs RF at {clients} clients (op/joule)")
     measured: Dict[Tuple[int, int], float] = {}
+    merged = grid_aggregates(
+        fig6_sweep_plan(scale, server_counts=server_counts, rfs=rfs,
+                        clients=clients), sweep)
     for servers in server_counts:
         for rf in rfs:
-            metrics, _crashed = _measure(servers, clients, rf, scale)
-            eff = metrics["energy_efficiency"].mean
+            eff = merged[_fig6_label(servers, rf)]["energy_efficiency"].mean
             measured[(servers, rf)] = eff
-            table.add(f"{servers} servers / RF {rf}",
+            table.add(_fig6_label(servers, rf),
                       PAPER_FIG8_OPS_PER_JOULE.get((servers, rf)), eff,
                       " op/J")
     # Finding 4 check: at RF1, efficiency increases with server count.

@@ -1,23 +1,26 @@
-"""repro.sweep — the parallel multi-seed sweep runner (ROADMAP item 1).
+"""repro.sweep — the multi-seed sweep runner, the one path by which
+every seeded grid point is measured.
 
 The paper's results come from ≈3000 runs on a 131-node testbed; ours
-come from grids of (experiment, config-point, seed) cells that today
-run strictly serially inside each ``run_fig*`` runner.  Determinism
-makes those cells embarrassingly parallel: two runs of the same cell
-are byte-identical (``tests/analyze/test_determinism.py``), so fanning
-cells across worker *processes* must change nothing but wall-clock
-time.  This module makes that property load-bearing and keeps it
-tested:
+come from grids of (experiment, config-point, seed) cells.  Every
+``run_fig*`` runner that averages seeded runs builds a
+:class:`SweepPlan` from its arguments and renders from a
+:class:`SweepReport`: the one it is given, else the plan run in-process
+(:func:`grid_aggregates`).  Determinism makes the cells embarrassingly
+parallel: two runs of the same cell are byte-identical
+(``tests/analyze/test_determinism.py``), so fanning cells across worker
+*processes* must change nothing but wall-clock time.  This module makes
+that property load-bearing and keeps it tested:
 
 * :class:`SweepPlan` names a registered experiment and the grid of
   :class:`SweepPoint` config points × seeds to run;
-* :func:`run_sweep` fans one worker process per cell through a
-  ``ProcessPoolExecutor`` (``spawn`` context: workers import the tree
-  fresh and share no interpreter state with the parent), streams back
-  per-cell :class:`CellOutcome` payloads — headline metrics plus the
-  cell's **determinism digest** — and merges them into the same
-  :class:`~repro.cluster.experiment.Aggregate` statistics the serial
-  path produces (bit-identical: same floats, same seed order);
+* :func:`run_sweep` runs the cells in-process or fans one worker
+  process per cell through a ``ProcessPoolExecutor`` (``spawn``
+  context: workers import the tree fresh and share no interpreter
+  state with the parent), streams back per-cell :class:`CellOutcome`
+  payloads — headline metrics plus the cell's **determinism digest** —
+  and merges them into :class:`~repro.cluster.experiment.Aggregate`
+  statistics in plan seed order (bit-identical in both modes);
 * ``serial_check=k`` re-runs a deterministic sample of ``k`` completed
   cells in-process and asserts digest-for-digest equality, so the
   parallel path can never silently fork behaviour from the serial one;
@@ -33,7 +36,7 @@ pattern.  The registry is resolved lazily (inside functions) in both
 the parent and the workers, so this module never imports the experiment
 modules at import time and there is no cycle.
 
-Environment isolation: every cell — serial, parallel, or
+Environment isolation: every cell — in-process, parallel, or
 serial-check — executes through :func:`_execute_cell`, which pins the
 digest-relevant environment (``REPRO_SIM_DEBUG``) from the plan and
 restores the whole environment afterwards, so a cell that mutates
@@ -64,9 +67,9 @@ from repro.sim.sanitize import (cell_state_fingerprint, check_cell_state,
 __all__ = [
     "CellOutcome", "CellResult", "SerialEquivalenceError", "SweepCell",
     "SweepPlan", "SweepPoint", "SweepReport", "cell_registry",
-    "crash_experiment_digest", "experiment_digest", "list_experiments",
-    "outcome_from_crash", "outcome_from_experiment", "plan_for",
-    "run_sweep",
+    "crash_experiment_digest", "experiment_digest", "grid_aggregates",
+    "list_experiments", "outcome_from_crash", "outcome_from_experiment",
+    "plan_for", "run_sweep",
 ]
 
 SCHEMA = 1
@@ -89,7 +92,7 @@ _EXPERIMENT_MODULES = (
 # The canonical byte-exact digests of everything an experiment measures.
 # These started life in tests/analyze/test_determinism.py (which now
 # imports them from here); the sweep runner computes them per cell so
-# serial and parallel execution can be compared digest-for-digest.
+# in-process and parallel execution can be compared digest-for-digest.
 
 
 def experiment_digest(result) -> str:
@@ -150,7 +153,7 @@ def crash_experiment_digest(result) -> str:
                               repair.finished_at))
     for series in (result.cluster_cpu, result.disk_read_mbps,
                    result.disk_write_mbps, result.under_replicated):
-        feed(f"{series.name}.times", result.cluster_cpu.times)
+        feed(f"{series.name}.times", series.times)
         feed(f"{series.name}.values", series.values)
     for name in sorted(result.per_node_power):
         feed(f"power[{name}]", result.per_node_power[name].values)
@@ -174,9 +177,8 @@ class CellOutcome:
 
 
 def outcome_from_experiment(result) -> CellOutcome:
-    """Standard outcome for a YCSB-style ``ExperimentResult`` cell —
-    carries exactly the per-seed floats ``repeat_experiment`` aggregates,
-    so merged sweep statistics are bit-identical to the serial path."""
+    """Standard outcome for a YCSB-style ``ExperimentResult`` cell: the
+    per-seed headline floats the figure runners aggregate."""
     return CellOutcome(
         metrics={
             "throughput": result.throughput,
@@ -252,7 +254,7 @@ class SweepPlan:
     """A grid of cells over one registered experiment.
 
     ``debug=None`` (the default) pins every cell to the parent's
-    ``REPRO_SIM_DEBUG`` at :func:`run_sweep` time, so serial and
+    ``REPRO_SIM_DEBUG`` at :func:`run_sweep` time, so in-process and
     parallel executions of the same plan see the same sanitizer mode.
     """
 
@@ -263,8 +265,8 @@ class SweepPlan:
     debug: Optional[bool] = None
 
     def cells(self) -> Tuple[SweepCell, ...]:
-        """Every cell, in canonical (point, seed) order — the order the
-        serial path runs them and the merge aggregates them in."""
+        """Every cell, in canonical (point, seed) order — the order an
+        in-process run takes them and the merge aggregates them in."""
         return tuple(SweepCell(self.experiment, point, seed)
                      for point in self.points for seed in self.seeds)
 
@@ -347,8 +349,8 @@ def plan_for(experiment: str, scale: Scale = DEFAULT,
     return factory(scale, seeds=tuple(seeds) if seeds else None, **kwargs)
 
 
-# -- cell execution (shared by the serial path, the workers, and the
-#    serial-equivalence check) -------------------------------------------
+# -- cell execution (shared by the in-process path, the workers, and
+#    the serial-equivalence check) ----------------------------------------
 
 
 def _resolve_debug(debug: Optional[bool]) -> bool:
@@ -435,18 +437,18 @@ class SweepReport:
         """
         failed = self.failed()
         if failed:
-            cells = ", ".join(repr(r.cell.key) for r in failed)
+            cells = "".join(f"\n  {r.cell.key!r}: {r.error}" for r in failed)
             raise RuntimeError(
-                f"sweep has {len(failed)} failed cell(s): {cells}")
+                f"sweep has {len(failed)} failed cell(s):{cells}")
         return self.aggregates()
 
     def aggregates(self) -> Dict[str, Dict[str, Aggregate]]:
         """point label → metric → :class:`Aggregate` over its seeds.
 
-        Values are fed in plan seed order, so the result is bit-identical
-        to what the serial ``repeat_experiment`` path computes for the
-        same cells.  Only metrics present in every completed seed of a
-        point are aggregated; points with no completed seed are absent.
+        Values are fed in plan seed order, so in-process and parallel
+        runs of the same plan merge to bit-identical floats.  Only
+        metrics present in every completed seed of a point are
+        aggregated; points with no completed seed are absent.
         """
         merged: Dict[str, Dict[str, Aggregate]] = {}
         for point in self.plan.points:
@@ -636,8 +638,8 @@ def run_sweep(plan: SweepPlan, *, parallel: bool = True,
               ) -> SweepReport:
     """Run every cell of ``plan`` and merge the results.
 
-    ``parallel=False`` is the serial reference path: the same cells,
-    in canonical plan order, in this process.  ``schedule`` (parallel
+    ``parallel=False`` runs the same cells in canonical plan order in
+    this process — the path every figure runner takes by default.  ``schedule`` (parallel
     only) permutes the submission order — the report is always in plan
     order, and digests must be schedule-independent (tested).
     ``serial_check=k`` reruns ``k`` completed cells in-process and
@@ -688,6 +690,16 @@ def run_sweep(plan: SweepPlan, *, parallel: bool = True,
     if serial_check and parallel:
         _serial_equivalence_check(report, debug, serial_check)
     return report
+
+
+def grid_aggregates(plan: SweepPlan, sweep: Optional[SweepReport] = None,
+                    ) -> Dict[str, Dict[str, Aggregate]]:
+    """What a figure runner renders from: the checked aggregates of
+    ``sweep`` (a report of ``plan``'s grid, or of a grid containing its
+    labels), else of ``plan`` run in-process."""
+    if sweep is None:
+        sweep = run_sweep(plan, parallel=False)
+    return sweep.checked_aggregates()
 
 
 def write_report(report: SweepReport, path: str) -> None:

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import ClusterSpec, ExperimentSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
     SweepReport,
+    grid_aggregates,
     outcome_from_experiment,
 )
 from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WorkloadSpec
 
 __all__ = ["run_table2_throughput", "run_fig3_scalability", "run_fig4_power",
-           "fig4_sweep_plan"]
+           "fig4_sweep_plan", "table2_sweep_plan"]
 
 WORKLOADS = {"A": WORKLOAD_A, "B": WORKLOAD_B, "C": WORKLOAD_C}
 
@@ -62,20 +63,24 @@ def run_table2_throughput(scale: Scale = DEFAULT,
                           client_counts: Sequence[int] = (10, 20, 30, 60, 90),
                           workload_names: Sequence[str] = ("A", "B", "C"),
                           servers: int = 10,
+                          sweep: Optional[SweepReport] = None,
                           ) -> Tuple[ComparisonTable,
                                      Dict[Tuple[str, int], float]]:
     """Table II: throughput of 10 servers for workloads A, B, C."""
     table = ComparisonTable(
         "Table II", f"aggregated throughput, {servers} servers (Kop/s)")
     measured: Dict[Tuple[str, int], float] = {}
+    merged = grid_aggregates(
+        table2_sweep_plan(scale, client_counts=client_counts,
+                          workload_names=workload_names, servers=servers),
+        sweep)
     for name in workload_names:
         for clients in client_counts:
-            metrics, _r = repeat_experiment(
-                _spec(WORKLOADS[name], servers, clients, scale), scale.seeds)
-            kops = metrics["throughput"].mean / 1000.0
+            label = f"workload {name} / {clients} clients"
+            kops = merged[label]["throughput"].mean / 1000.0
             measured[(name, clients)] = kops
-            table.add(f"workload {name} / {clients} clients",
-                      PAPER_TABLE2_KOPS.get((name, clients)), kops, "K")
+            table.add(label, PAPER_TABLE2_KOPS.get((name, clients)), kops,
+                      "K")
     table.note("replication disabled; 100 K records scaled to "
                f"{scale.num_records}")
     return table, measured
@@ -83,14 +88,17 @@ def run_table2_throughput(scale: Scale = DEFAULT,
 
 def run_fig3_scalability(scale: Scale = DEFAULT,
                          client_counts: Sequence[int] = (10, 20, 30, 60, 90),
+                         sweep: Optional[SweepReport] = None,
                          ) -> ComparisonTable:
     """Fig. 3: throughput scaling factor relative to 10 clients.
 
     The paper's reading: read-only scales perfectly (factor ≈
     clients/10), read-heavy collapses between 30 and 60 clients,
-    update-heavy never scales at all.
+    update-heavy never scales at all.  Table II's grid, so the same
+    ``sweep`` serves both.
     """
-    _table2, measured = run_table2_throughput(scale, client_counts)
+    _table2, measured = run_table2_throughput(scale, client_counts,
+                                              sweep=sweep)
     baseline = client_counts[0]
     table = ComparisonTable(
         "Fig. 3", f"scalability factor vs {baseline}-client baseline")
@@ -110,7 +118,7 @@ def run_fig3_scalability(scale: Scale = DEFAULT,
 
 def _fig4_cell(params: Dict[str, object], seed: int, scale: Scale):
     """Sweep cell runner: one (workload, servers, clients, seed) point
-    of the §V grid — the exact run ``repeat_experiment`` performs."""
+    of the §V grids (Table II, Fig. 3, Fig. 4)."""
     from repro.cluster import run_experiment
     spec = _spec(WORKLOADS[str(params["workload"])],
                  int(params["servers"]), int(params["clients"]), scale)
@@ -132,6 +140,16 @@ def fig4_sweep_plan(scale: Scale = DEFAULT,
     return SweepPlan("fig4", points, tuple(seeds or scale.seeds), scale)
 
 
+def table2_sweep_plan(scale: Scale = DEFAULT,
+                      seeds: Optional[Sequence[int]] = None,
+                      client_counts: Sequence[int] = (10, 20, 30, 60, 90),
+                      workload_names: Sequence[str] = ("A", "B", "C"),
+                      servers: int = 10) -> SweepPlan:
+    """The Table II / Fig. 3 grid: Fig. 4's cells at 10 servers."""
+    return fig4_sweep_plan(scale, seeds, client_counts=client_counts,
+                           servers=servers, workload_names=workload_names)
+
+
 SWEEP_CELLS = {"fig4": _fig4_cell}
 SWEEP_PLANS = {"fig4": fig4_sweep_plan}
 
@@ -142,25 +160,18 @@ def run_fig4_power(scale: Scale = DEFAULT,
                    sweep: Optional[SweepReport] = None,
                    ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 4a (power per node vs clients) and Fig. 4b (total energy at
-    90 clients, same total work per configuration).
-
-    Pass a merged ``sweep`` (from :func:`fig4_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+    90 clients, same total work per configuration)."""
     power = ComparisonTable(
         "Fig. 4a", f"average power per node, {servers} servers (W)")
     energy = ComparisonTable(
         "Fig. 4b", "total energy at 90 clients (kJ, scaled run)")
     energy_measured: Dict[str, float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
+    merged = grid_aggregates(
+        fig4_sweep_plan(scale, client_counts=client_counts, servers=servers),
+        sweep)
     for name in ("C", "B", "A"):
         for clients in client_counts:
-            if merged is not None:
-                metrics = merged[f"workload {name} / {clients} clients"]
-            else:
-                metrics, _r = repeat_experiment(
-                    _spec(WORKLOADS[name], servers, clients, scale),
-                    scale.seeds)
+            metrics = merged[f"workload {name} / {clients} clients"]
             power.add(f"workload {name} / {clients} clients",
                       PAPER_FIG4A_WATTS.get((name, clients)),
                       metrics["avg_power_per_server"].mean, "W")

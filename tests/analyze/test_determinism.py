@@ -114,6 +114,16 @@ def test_crash_digest_diverges_across_seeds():
     assert a != b
 
 
+def test_crash_digest_covers_each_series_own_times():
+    # Every series feeds its own sample times, not the CPU series'.
+    result = run_small_crash()
+    before = crash_digest(result)
+    shifted = [t + 0.5 for t in result.disk_read_mbps.times]
+    result.disk_read_mbps.times[:] = shifted
+    assert result.cluster_cpu.times != shifted
+    assert crash_digest(result) != before
+
+
 # -- golden event order ------------------------------------------------------
 #
 # The tests above compare two runs of the same code, so a kernel change

@@ -7,7 +7,6 @@ from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
     ExperimentSpec,
-    repeat_experiment,
     run_crash_experiment,
     run_experiment,
 )
@@ -70,17 +69,8 @@ class TestRunExperiment:
 
 
 class TestRepeatExperiment:
-    def test_aggregates_over_seeds(self):
-        metrics, results = repeat_experiment(tiny_experiment(), seeds=[1, 2, 3])
-        assert len(results) == 3
-        assert metrics["throughput"].mean > 0
-        assert len(metrics["throughput"].values) == 3
-        assert metrics["throughput"].stddev >= 0
-
-    def test_seeds_change_results_deterministically(self):
-        _m1, r1 = repeat_experiment(tiny_experiment(), seeds=[5])
-        _m2, r2 = repeat_experiment(tiny_experiment(), seeds=[5])
-        assert r1[0].throughput == r2[0].throughput
+    """Per-seed aggregation (seed-ordered merging of whole grids lives
+    in tests/sweep/test_plan_and_merge.py)."""
 
     def test_aggregate_of_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
 """Per-request tunable consistency (docs/CONSISTENCY.md).
 
-Covers the level plumbing (validation, config default, the deprecated
-``async_replication`` alias), the ASYNC_BOUNDED staleness contract
-(batched replication within the bound, byte-bound backpressure before
-the ack), EVENTUAL backup reads with the BackupBehind redirect, and
-epoch fencing of the batched path.
+Covers the level plumbing (validation, config default), the
+ASYNC_BOUNDED staleness contract (batched replication within the bound,
+byte-bound backpressure before the ack), EVENTUAL backup reads with
+the BackupBehind redirect, and epoch fencing of the batched path.
 """
 
 import pytest
@@ -36,13 +35,6 @@ def test_levels_validate():
 
 def test_config_default_and_alias():
     assert ServerConfig().default_consistency == SYNC_RF
-    # The deprecated cluster-wide knob maps onto the new default.
-    assert (ServerConfig(async_replication=True).default_consistency
-            == ASYNC_BOUNDED)
-    # ...but never overrides an explicitly chosen level.
-    assert (ServerConfig(async_replication=True,
-                         default_consistency=EVENTUAL).default_consistency
-            == EVENTUAL)
     with pytest.raises(ValueError):
         ServerConfig(default_consistency="bogus")
     with pytest.raises(ValueError):

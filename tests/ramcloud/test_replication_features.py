@@ -3,6 +3,7 @@ handling, dispatch RX."""
 
 import pytest
 
+from repro.ramcloud.consistency import ASYNC_BOUNDED
 from repro.ramcloud.tablets import key_hash
 
 from tests.ramcloud.conftest import build_cluster, run_client_script
@@ -13,7 +14,8 @@ class TestAsyncReplication:
         sync = build_cluster(num_servers=4, num_clients=1,
                              replication_factor=3)
         async_ = build_cluster(num_servers=4, num_clients=1,
-                               replication_factor=3, async_replication=True)
+                               replication_factor=3,
+                               default_consistency=ASYNC_BOUNDED)
         latencies = {}
         for label, cluster in (("sync", sync), ("async", async_)):
             table_id = cluster.create_table("t")
@@ -31,7 +33,8 @@ class TestAsyncReplication:
 
     def test_async_replicas_still_arrive(self):
         cluster = build_cluster(num_servers=4, num_clients=1,
-                                replication_factor=2, async_replication=True)
+                                replication_factor=2,
+                                default_consistency=ASYNC_BOUNDED)
         table_id = cluster.create_table("t")
         rc = cluster.clients[0]
 

@@ -9,10 +9,8 @@ mutation mid-suite, import order — would fork the digests here.
 
 import pytest
 
-from repro.cluster import repeat_experiment
 from repro.experiments.scale import SMOKE
 from repro.experiments.sweep import plan_for, run_sweep
-from repro.experiments.workloads import WORKLOADS, _spec
 
 pytestmark = pytest.mark.sweep
 
@@ -95,17 +93,3 @@ def test_serial_check_catches_environment_dependent_results():
         (1,), TINY)
     with pytest.raises(SerialEquivalenceError, match="diverged"):
         run_sweep(plan, workers=1, serial_check=1)
-
-
-def test_merged_aggregates_equal_repeat_experiment():
-    # The merge contract: a parallel sweep reproduces repeat_experiment's
-    # Aggregate values float-for-float for the same cells and seed order.
-    plan = plan_for("fig4", TINY, client_counts=(2,), servers=2,
-                    workload_names=("A",))
-    report = run_sweep(plan, workers=2)
-    metrics, _results = repeat_experiment(
-        _spec(WORKLOADS["A"], 2, 2, TINY), TINY.seeds)
-    merged = report.aggregates()["workload A / 2 clients"]
-    for key in ("throughput", "avg_power_per_server",
-                "total_energy_joules", "energy_efficiency", "makespan"):
-        assert merged[key] == metrics[key], key

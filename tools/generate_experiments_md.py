@@ -4,10 +4,13 @@ paper-vs-measured tables.
 
 Usage:  REPRO_SCALE=default python tools/generate_experiments_md.py
 
-Set REPRO_SWEEP_WORKERS=N to precompute the fig1/fig4/fig5/fig11 grids
-through the parallel sweep runner (repro.experiments.sweep) — the
-rendered tables are bit-identical to the serial path (that equivalence
-is what `pytest -m sweep` enforces), only the wall clock changes.
+Every seeded grid is swept once (repro.experiments.sweep) and each
+table that reads it renders from that one report: Fig. 1 and Fig. 2
+share a grid, as do Table II and Fig. 3, and Fig. 6, 7 and 8.  Grids
+run in-process by default; set REPRO_SWEEP_WORKERS=N to fan their
+cells over N worker processes instead — the rendered tables are
+bit-identical (that equivalence is what `pytest -m sweep` enforces),
+only the wall clock changes.
 """
 
 import io
@@ -42,111 +45,86 @@ full` is the paper-shaped lane — 100,000 records and 5,000 ops per
 client over 5 seeds per point (the paper: 100 K records, 100 K ops per
 client, 5 runs per point on a 131-node testbed) — sized for the
 nightly `sweep-full` CI lane rather than per-PR runs; `smoke` backs the
-per-PR `sweep-smoke` equivalence check.  Regenerating this file with
-`REPRO_SWEEP_WORKERS=N` sweeps fig1/fig4/fig5/fig11 in parallel and
-renders bit-identical tables.
+per-PR `sweep-smoke` equivalence check.  Every seeded grid below is
+swept once and rendered from that report (Fig. 1/2, Table II/Fig. 3
+and Fig. 6/7/8 each share one); regenerating this file with
+`REPRO_SWEEP_WORKERS=N` runs the grids on N worker processes instead of
+in-process and renders bit-identical tables.
 
 """
 
 
-def _precomputed_sweeps(scale):
-    """With REPRO_SWEEP_WORKERS=N set, run the sweep-enabled grids
-    through the parallel runner up front; the runners then render from
-    the merged aggregates (bit-identical tables, parallel wall-clock)."""
+def _sweep(plan):
+    """Run one grid: in-process, or on REPRO_SWEEP_WORKERS=N workers."""
+    from repro.experiments.sweep import run_sweep
     workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "0"))  # simlint: disable=DET002 CI entry point reading its own opt-in knob
-    if workers <= 0:
-        return {}
-    from repro.experiments.sweep import plan_for, run_sweep
-    sweeps = {}
-    for name in ("fig1", "fig4", "fig5", "fig11"):
-        sweeps[name] = run_sweep(plan_for(name, scale), workers=workers)
-        failed = sweeps[name].failed()
-        print(f"[{time.strftime('%H:%M:%S')}] sweep {name} merged "
-              f"({len(sweeps[name].results) - len(failed)}"
-              f"/{len(sweeps[name].results)} cells)", flush=True)
-    return sweeps
+    return run_sweep(plan, parallel=workers > 0, workers=workers or None)
 
 
 def main():
+    from repro.experiments import (ablations, durability,
+                                   energy_proportionality, extensions,
+                                   indexing, peak, recovery, replication,
+                                   throttling, workloads)
+    from repro.experiments.reporting import ComparisonTable
     scale = active_scale()
     sections = []
-    sweeps = _precomputed_sweeps(scale)
 
     def add(title, tables):
         print(f"[{time.strftime('%H:%M:%S')}] {title} done", flush=True)
-        if not isinstance(tables, (list, tuple)):
-            tables = [tables]
-        for table in tables:
-            sections.append(table.render_markdown())
+        if not isinstance(tables, tuple):
+            tables = (tables,)
+        sections.extend(table.render_markdown() for table in tables
+                        if isinstance(table, ComparisonTable))
 
-    from repro.experiments.peak import (run_fig1_peak, run_fig2_efficiency,
-                                        run_table1_cpu)
-    add("fig1", run_fig1_peak(scale, sweep=sweeps.get("fig1")))
-    add("table1", run_table1_cpu(scale))
-    add("fig2", run_fig2_efficiency(scale, sweep=sweeps.get("fig1")))
+    fig1 = _sweep(peak.fig1_sweep_plan(scale))
+    add("fig1", peak.run_fig1_peak(scale, sweep=fig1))
+    add("table1", peak.run_table1_cpu(
+        scale, sweep=_sweep(peak.table1_sweep_plan(scale))))
+    add("fig2", peak.run_fig2_efficiency(scale, sweep=fig1))
 
-    from repro.experiments.workloads import (run_fig3_scalability,
-                                             run_fig4_power,
-                                             run_table2_throughput)
-    table2, _measured = run_table2_throughput(scale)
-    add("table2", table2)
-    add("fig3", run_fig3_scalability(scale))
-    add("fig4", run_fig4_power(scale, sweep=sweeps.get("fig4")))
+    table2 = _sweep(workloads.table2_sweep_plan(scale))
+    add("table2", workloads.run_table2_throughput(scale, sweep=table2))
+    add("fig3", workloads.run_fig3_scalability(scale, sweep=table2))
+    add("fig4", workloads.run_fig4_power(
+        scale, sweep=_sweep(workloads.fig4_sweep_plan(scale))))
 
-    from repro.experiments.replication import (run_fig5_replication,
-                                               run_fig6_replication_scale,
-                                               run_fig7_power_rf,
-                                               run_fig8_efficiency_rf)
-    add("fig5", run_fig5_replication(scale, sweep=sweeps.get("fig5")))
-    add("fig6", run_fig6_replication_scale(scale))
-    add("fig7", run_fig7_power_rf(scale))
-    add("fig8", run_fig8_efficiency_rf(scale))
+    add("fig5", replication.run_fig5_replication(
+        scale, sweep=_sweep(replication.fig5_sweep_plan(scale))))
+    fig6 = _sweep(replication.fig6_sweep_plan(scale))
+    add("fig6", replication.run_fig6_replication_scale(scale, sweep=fig6))
+    add("fig7", replication.run_fig7_power_rf(scale, sweep=fig6))
+    add("fig8", replication.run_fig8_efficiency_rf(scale, sweep=fig6))
 
-    from repro.experiments.recovery import (run_fig9_crash_timeline,
-                                            run_fig10_latency_crash,
-                                            run_fig11_recovery_rf,
-                                            run_fig12_disk_activity)
-    fig9_table, _r = run_fig9_crash_timeline(scale)
-    add("fig9", fig9_table)
-    fig10_table, _r = run_fig10_latency_crash(scale)
-    add("fig10", fig10_table)
-    add("fig11", run_fig11_recovery_rf(scale, sweep=sweeps.get("fig11")))
-    fig12_table, _r = run_fig12_disk_activity(scale)
-    add("fig12", fig12_table)
+    add("fig9", recovery.run_fig9_crash_timeline(scale))
+    add("fig10", recovery.run_fig10_latency_crash(scale))
+    add("fig11", recovery.run_fig11_recovery_rf(
+        scale, sweep=_sweep(recovery.fig11_sweep_plan(scale))))
+    add("fig12", recovery.run_fig12_disk_activity(scale))
 
-    from repro.experiments.throttling import run_fig13_throttling
-    add("fig13", run_fig13_throttling(scale))
+    add("fig13", throttling.run_fig13_throttling(scale))
 
-    from repro.experiments.ablations import (
-        run_async_replication_ablation, run_segment_size_ablation,
-        run_worker_threads_ablation)
-    add("ablation-workers", run_worker_threads_ablation(scale))
-    add("ablation-async", run_async_replication_ablation(scale))
-    add("ablation-segsize", run_segment_size_ablation(scale))
+    add("ablation-workers", ablations.run_worker_threads_ablation(scale))
+    add("ablation-async", ablations.run_async_replication_ablation(scale))
+    add("ablation-segsize", ablations.run_segment_size_ablation(scale))
 
-    from repro.experiments.extensions import (
-        run_elastic_sizing_extension, run_request_distribution_extension,
-        run_scan_extension, run_transport_extension)
-    add("ext-distributions", run_request_distribution_extension(scale))
-    add("ext-transports", run_transport_extension(scale))
-    add("ext-scans", run_scan_extension(scale))
-    add("ext-elastic", run_elastic_sizing_extension(scale))
+    add("ext-distributions",
+        extensions.run_request_distribution_extension(scale))
+    add("ext-transports", extensions.run_transport_extension(scale))
+    add("ext-scans", extensions.run_scan_extension(scale))
+    add("ext-elastic", extensions.run_elastic_sizing_extension(scale))
 
-    from repro.experiments.energy_proportionality import (
-        run_energy_proportionality, run_power_cap)
-    ep_table, _result = run_energy_proportionality(scale)
-    add("ext-energy", ep_table)
-    cap_table, _result = run_power_cap(scale)
-    add("ext-powercap", cap_table)
+    add("ext-energy", energy_proportionality.run_energy_proportionality(scale))
+    add("ext-powercap", energy_proportionality.run_power_cap(scale))
 
-    from repro.experiments.durability import (
-        run_consistency_frontier, run_durability_gap_table)
-    add("ext-frontier", run_consistency_frontier(scale))
-    add("ext-durability-gap", run_durability_gap_table(scale))
+    add("ext-frontier", durability.run_consistency_frontier(
+        scale, sweep=_sweep(durability.frontier_sweep_plan(scale))))
+    add("ext-durability-gap", durability.run_durability_gap_table(scale))
 
-    from repro.experiments.indexing import run_fig_index, run_tenant_mix
-    add("ext-index", run_fig_index(scale))
-    add("ext-tenants", run_tenant_mix(scale))
+    add("ext-index", indexing.run_fig_index(
+        scale, sweep=_sweep(indexing.fig_index_sweep_plan(scale))))
+    add("ext-tenants", indexing.run_tenant_mix(
+        scale, sweep=_sweep(indexing.tenant_mix_sweep_plan(scale))))
 
     out = io.StringIO()
     out.write(HEADER.format(

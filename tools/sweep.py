@@ -3,8 +3,8 @@
 
 Fans one worker process per (experiment, config-point, seed) cell,
 streams per-cell determinism digests as they complete, and prints the
-merged aggregate statistics — bit-identical to what the serial runners
-compute for the same cells.
+merged aggregate statistics — bit-identical to the in-process sweep
+(``--serial``) that the figure runners take by default.
 
 Examples:
 
